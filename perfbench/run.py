@@ -3,7 +3,7 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload clique-4x --seed 7 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload clique-3x --seed 7 --seconds 8 --trace 0
 
 It builds the solver and the benchmark from source with sbt (once per source
 state; the build is cached under perfbench/target), runs one benchmark JVM
@@ -26,7 +26,7 @@ ROOT = BENCH.parent
 SOLVER_SRC = ROOT / "src" / "main" / "scala"
 OUT = BENCH / "out"
 STAMP = BENCH / "target" / "perfbench-classpath.txt"
-WORKLOADS = ("clique-4x", "ilp-2x", "agegap-4x")
+WORKLOADS = ("clique-3x", "ilp-2x")
 MAX_CORES = 4
 SHUFFLE_PARTITIONS = 8
 HEAP = "2g"

@@ -9,7 +9,8 @@ import repro.core.phase2.{ConflictGraph, ListColoring}
 
 /** Replays of the layers `HybridCompleter.run` and `FkAssigner.run` call
   * internally, made through their public functions on the same inputs, so
-  * each inner layer gets its own time and counts.
+  * each inner layer gets its own counts, and a time where the run records
+  * none.
   */
 object Replay {
 
@@ -23,14 +24,15 @@ object Replay {
     def span[T](name: String)(body: => T): T = tracer.span(solve, name, "phase1.replay")(body)
     val binning = span("phase1.binning")(Binning.build(r1.drop(schema.r1.fk), schema, ccs))
     val comboSpace = span("phase1.combos")(ComboSpace.build(r2, schema))
-    val split = span("ccrel.split")(HasseDiagram.split(ccs, schema))
+    // The run times these three itself (`Phase1Stats`); they are replayed
+    // for their counts only.
+    val split = HasseDiagram.split(ccs, schema)
     val pool = new BinPool(binning.bins)
-    val hasse = span("phase1.hasse")(
-      HasseCompleter.plan(split.forest, ccs, schema, binning, comboSpace, pool))
-    val ilp = span("ilp.plan")(
+    val hasse = HasseCompleter.plan(split.forest, ccs, schema, binning, comboSpace, pool)
+    val ilp =
       if (split.s2.isEmpty) None
       else Some(IlpCompleter.plan(split.s2, schema, binning, comboSpace, pool,
-                                  withMarginals = true, dropFreePairs = true)))
+                                  withMarginals = true, dropFreePairs = true))
     Phase1(binning, comboSpace, split, hasse, ilp)
   }
 
