@@ -36,6 +36,23 @@ final case class DenialConstraint(name: String, slots: Seq[SelCond],
 
   def arity: Int = slots.size
 
+  /** Rejects a DC that could never match a tuple of `r1`: a slot predicate
+    * on an attribute R1 lacks, or a cross atom on a slot beyond the arity or
+    * on an attribute that is not a numeric R1 attribute.
+    */
+  def requireOver(r1: R1Schema): Unit = {
+    for (s <- slots; p <- s.preds)
+      require(r1.attrs.contains(p.attr),
+              s"DC $name: slot predicate on ${p.attr}, not an attribute of R1 (${r1.attrs.mkString(", ")})")
+    for (c <- cross) {
+      require(Seq(c.i, c.j).forall(s => s >= 0 && s < arity),
+              s"DC $name: cross atom $c names a slot outside 0..${arity - 1}")
+      for (a <- Seq(c.attrI, c.attrJ))
+        require(r1.numAttrs.contains(a),
+                s"DC $name: cross atom on $a, not a numeric attribute of R1 (${r1.numAttrs.mkString(", ")})")
+    }
+  }
+
   /** Do the given tuples (attribute → value maps, one per slot, in slot
     * order) satisfy the non-FK body of the DC — i.e. would they violate the
     * DC if they all shared a foreign key?

@@ -48,28 +48,30 @@ final case class Binning(schema: DbSchema,
     }
   }
 
-  private def binKeyCol: Column = {
-    val parts = schema.r1.catAttrs.map(col) ++
-      schema.r1.numAttrs.map(a => intervalIdxCol(a).cast("string"))
-    concat_ws("", parts: _*)
-  }
+  /** `df` with an `__ivl_<attr>` column holding each numeric attribute's
+    * interval index.
+    */
+  private def withIntervals(df: DataFrame): DataFrame =
+    schema.r1.numAttrs.foldLeft(df)((d, a) => d.withColumn(s"__ivl_$a", intervalIdxCol(a)))
 
-  private def binKey(b: Bin): String = {
-    val parts = schema.r1.catAttrs.map(b.cats) ++
-      schema.r1.numAttrs.map(a => intervals(a).indexOf(b.nums(a)).toString)
-    parts.mkString("")
-  }
-
-  /** Attach a `__bin` column to an R1-shaped DataFrame (equi-join against
-    * the small bin-key table).
+  /** Attach a `__bin` column to an R1-shaped DataFrame: a null-safe
+    * equi-join on the categorical values and numeric interval indices against
+    * the small bin table.
     */
   def withBinId(df: DataFrame): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    val keyDf = bins.map(b => (binKey(b), b.id)).toDF("__binkey", "__bin")
-    df.withColumn("__binkey", binKeyCol)
-      .join(keyDf, Seq("__binkey"), "left")
-      .drop("__binkey")
+    val cats = schema.r1.catAttrs
+    val nums = schema.r1.numAttrs
+    val keyDf = bins.map(b => (b.id, cats.map(b.cats), nums.map(a => intervals(a).indexOf(b.nums(a)))))
+      .toDF("__bin", "__cats", "__ivls")
+      .select(col("__bin") +:
+        (cats.indices.map(i => col("__cats").getItem(i).as(s"__key_${cats(i)}")) ++
+         nums.indices.map(i => col("__ivls").getItem(i).as(s"__key_${nums(i)}"))): _*)
+    val on = (cats.map(a => col(a).cast("string") <=> col(s"__key_$a")) ++
+              nums.map(a => col(s"__ivl_$a") <=> col(s"__key_$a"))).foldLeft(lit(true))(_ && _)
+    withIntervals(df).join(keyDf, on, "left")
+      .drop((cats ++ nums).map(a => s"__key_$a") ++ nums.map(a => s"__ivl_$a"): _*)
       .withColumn("__bin", coalesce(col("__bin"), lit(-1)))
   }
 }
@@ -101,9 +103,7 @@ object Binning {
 
     val pre = Binning(schema, intervalsByAttr, IndexedSeq.empty)
     // Group on (cat attrs, interval index per num attr) to enumerate bins.
-    val withIvl = numAttrs.foldLeft(r1) { (df, a) =>
-      df.withColumn(s"__ivl_$a", pre.intervalIdxCol(a))
-    }
+    val withIvl = pre.withIntervals(r1)
     val groupCols = schema.r1.catAttrs.map(col) ++ numAttrs.map(a => col(s"__ivl_$a"))
     val rows = withIvl.groupBy(groupCols: _*).count()
       .collect()

@@ -30,17 +30,15 @@ final case class ComboSpace(schema: DbSchema, combos: IndexedSeq[Combo])
   def unusedBy(ccs: Seq[CardinalityConstraint]): IndexedSeq[Combo] =
     combos.filter(c => !ccs.exists(cc => c.matchesR2Cond(cc.r2Cond(schema))))
 
-  /** Attach a `__combo` column to an R2-shaped DataFrame. */
+  /** Attach a `__combo` column to an R2-shaped DataFrame: a null-safe
+    * equi-join on the B attributes against the small combo table.
+    */
   def withComboId(r2: DataFrame): DataFrame = {
-    val spark = r2.sparkSession
-    import spark.implicits._
     val attrs = schema.r2.attrs
-    val keyDf = combos
-      .map(c => (attrs.map(c.values).mkString(""), c.id))
-      .toDF("__combokey", "__combo")
-    r2.withColumn("__combokey", concat_ws("", attrs.map(col): _*))
-      .join(keyDf, Seq("__combokey"), "left")
-      .drop("__combokey")
+    val keyDf = asDataFrame(r2.sparkSession)
+      .select(col("__combo") +: attrs.map(a => col(a).as(s"__key_$a")): _*)
+    val on = attrs.map(a => col(a).cast("string") <=> col(s"__key_$a")).foldLeft(lit(true))(_ && _)
+    r2.join(keyDf, on, "left").drop(attrs.map(a => s"__key_$a"): _*)
   }
 
   /** Small DataFrame (comboId, B attrs...) for joining combo values back. */

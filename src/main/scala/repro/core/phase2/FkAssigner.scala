@@ -1,9 +1,11 @@
 package repro.core.phase2
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import repro.core.model._
 import repro.core.phase1.{Binning, ComboSpace}
+import scala.jdk.CollectionConverters._
 
 /** One output row of the distributed coloring: either a FK assignment for an
   * R1 tuple (`kind = 0`) or a new housing tuple to append to R̂2 (`kind = 1`).
@@ -19,12 +21,16 @@ final case class Phase2Result(r1Hat: DataFrame, r2Hat: DataFrame)
   *
   * The §5.2 optimization — one conflict hypergraph per distinct B-combo,
   * since candidate keys are disjoint across combos — maps directly to
-  * `groupByKey(comboId).flatMapGroups`: each Spark task builds and colors
-  * one partition's hypergraph (this is also the parallelization suggested in
-  * §A.3). Invalid tuples (no B values from Phase I) are routed to a second
-  * "lane" keyed by the least-CC-impact combo of their bin and colored with
-  * fresh keys only, which is trivially DC-safe w.r.t. previously colored
-  * tuples and realizes `solveInvalidTuples`.
+  * `groupByKey(comboId).flatMapGroups`: each Spark task colors one
+  * partition with [[ConflictColoring]], which tests the DCs directly instead
+  * of materialising the hypergraph (this is also the parallelization
+  * suggested in §A.3). Invalid tuples (no B values from Phase I) are routed
+  * to a second "lane" keyed by the least-CC-impact combo of their bin and
+  * colored with fresh keys only, which is trivially DC-safe w.r.t.
+  * previously colored tuples and realizes `solveInvalidTuples`.
+  *
+  * The returned R̂1 is cached and materialised; R̂2's fresh houses are
+  * local rows, so neither recomputes the colouring.
   */
 object FkAssigner {
 
@@ -41,7 +47,7 @@ object FkAssigner {
         .collect()
         .groupBy(_.getInt(0))
         .map { case (c, rows) => c -> rows.map(_.getLong(1)).sorted.toIndexedSeq }
-    val maxHid = r2.agg(max(col(k2)).cast("long")).head.getLong(0)
+    val maxHid = candidates.valuesIterator.flatten.max
 
     // Least-CC-impact combo per bin, for solveInvalidTuples.
     val r1Conds = ccs.map(cc => cc -> cc.r1Cond(schema))
@@ -58,15 +64,14 @@ object FkAssigner {
 
     val catAttrs = schema.r1.catAttrs
     val numAttrs = schema.r1.numAttrs
-    val dcsLocal = dcs.toVector
+    val coloring = ConflictColoring(dcs, schema.r1)
 
     // Group key: combo*2 for valid tuples, bestCombo*2+1 for invalid ones.
-    val invalidKeyDf = bestComboForBin.toSeq.toDF("__bin", "__bestCombo")
+    val bestCombo = typedLit(bestComboForBin)
     val keyed: Dataset[(Long, Long, Seq[String], Seq[Int])] = vjoin
-      .join(invalidKeyDf, Seq("__bin"), "left")
       .withColumn("__gkey",
         when(col("__combo") >= 0, col("__combo").cast("long") * 2)
-          .otherwise(coalesce(col("__bestCombo"), lit(0)).cast("long") * 2 + 1))
+          .otherwise(coalesce(bestCombo(col("__bin")), lit(0)).cast("long") * 2 + 1))
       .select(col("__gkey"), col(schema.r1.key).cast("long"),
               array(catAttrs.map(c => col(c).cast("string")): _*),
               array(numAttrs.map(c => col(c).cast("int")): _*))
@@ -78,48 +83,34 @@ object FkAssigner {
         val combo = (gkey / 2).toInt
         val invalidLane = gkey % 2 == 1
         val rows = it.toIndexedSeq.sortBy(_._2)
-        val tuples: IndexedSeq[Map[String, Any]] = rows.map { r =>
-          (catAttrs.zip(r._3) ++ numAttrs.zip(r._4)).toMap
-        }
-        val edges = ConflictGraph.edges(tuples, dcsLocal)
         val palette =
           if (invalidLane) IndexedSeq.empty[Long]
           else candidates.getOrElse(combo, IndexedSeq.empty)
-        val (c1, skipped) = ListColoring.colorLF(rows.size, edges, Map.empty, palette)
-
-        // Fresh colors for skipped vertices; loop in case hyperedges force
-        // more than |skipped| new colors (cannot happen for pairwise DCs).
         val freshBase = maxHid + ((combo.toLong + 2) << 33) +
           (if (invalidLane) 1L << 32 else 0L)
-        var colors = c1
-        var toColor = skipped
-        var freshUsed = 0
-        while (toColor.nonEmpty) {
-          val fresh = (1 to toColor.size).map(i => freshBase + freshUsed + i)
-          val (c2, s2) = ListColoring.colorLF(rows.size, edges, colors, fresh.toIndexedSeq)
-          freshUsed += toColor.size
-          colors = c2
-          toColor = s2
-        }
+        val colors = coloring.color(rows.map(_._3), rows.map(_._4), palette, freshBase).colors
 
         val assigns = rows.indices.map(i => FkOut(0, rows(i)._2, colors(i), combo))
-        val newHids = colors.values.filter(_ > maxHid).toSeq.distinct
-        val newHousing = newHids.map(h => FkOut(1, -1L, h, combo))
+        val newHousing = colors.filter(_ > maxHid).distinct.map(h => FkOut(1, -1L, h, combo))
         (assigns ++ newHousing).iterator
       }
 
+    // Cached until R̂1 is materialised: the fresh houses are collected from
+    // it first, so the colouring runs once.
     val outsDf = outs.toDF().cache()
+
+    val freshRows = outsDf.filter(col("kind") === 1).select("hid", "combo").as[(Long, Int)]
+      .collect().sorted.toSeq
+      .map { case (hid, c) => Row.fromSeq(hid +: schema.r2.attrs.map(comboSpace.byId(c).values)) }
+    val newHousingDf = spark.createDataFrame(freshRows.asJava,
+      StructType(StructField(k2, LongType) +: schema.r2.attrs.map(StructField(_, StringType))))
+    val r2Hat = r2.select(col(k2) +: schema.r2.attrs.map(col): _*).unionByName(newHousingDf)
 
     val assignDf = outsDf.filter(col("kind") === 0)
       .select(col("k1").as(schema.r1.key), col("hid").as(schema.r1.fk))
-    val r1Hat = r1.drop(schema.r1.fk).join(assignDf, Seq(schema.r1.key))
-
-    val newHousingDf = outsDf.filter(col("kind") === 1)
-      .select(col("hid"), col("combo").as("__combo"))
-      .join(comboSpace.asDataFrame(spark), Seq("__combo"))
-      .select(col("hid").as(k2) +: schema.r2.attrs.map(col): _*)
-    val r2Hat = r2.select(col(k2) +: schema.r2.attrs.map(col): _*)
-      .unionByName(newHousingDf)
+    val r1Hat = r1.drop(schema.r1.fk).join(assignDf, Seq(schema.r1.key)).cache()
+    r1Hat.count()
+    outsDf.unpersist()
 
     Phase2Result(r1Hat, r2Hat)
   }

@@ -70,6 +70,25 @@ class BinningSpec extends SparkSpec {
     }
   }
 
+  test("withBinId keeps values whose separated concatenations collide apart") {
+    import spark.implicits._
+    // Keys built by joining the values with a \u0001 separator collide when
+    // a value contains it: "a␁b" + "c" and "a" + "b␁c" concatenate alike.
+    val schema2 = DbSchema(R1Schema("pid", Seq("C1", "C2"), Seq("N"), "fk"), R2Schema("hid", Seq("B")))
+    val r1 = Seq((1L, "a\u0001b", "c", 5), (2L, "a", "b\u0001c", 5), (3L, "a", "c", 50), (4L, "a", "c", 5))
+      .toDF("pid", "C1", "C2", "N")
+    val ccs = Seq(CardinalityConstraint("n_low", SelCond(Seq(NumRange("N", 0, 9))), 1))
+    val b = Binning.build(r1, schema2, ccs)
+    assert(b.bins.size == 4)
+    val rows = b.withBinId(r1).select("pid", "C1", "C2", "N", "__bin").collect()
+    assert(rows.map(_.getLong(0)).sorted.toSeq == Seq(1L, 2L, 3L, 4L))
+    rows.foreach { r =>
+      val bin = b.bins(r.getInt(4))
+      assert(bin.cats == Map("C1" -> r.getString(1), "C2" -> r.getString(2)))
+      assert(bin.nums("N").contains(r.getInt(3)))
+    }
+  }
+
   test("withBinId group sizes match bin counts") {
     val r1 = PaperExample.r1(spark).drop("hid")
     val b = Binning.build(r1, schema, PaperExample.ccs)

@@ -49,4 +49,17 @@ class ComboSpaceSpec extends SparkSpec {
       r.getAs[Int]("__combo") -> r.getAs[String]("Area")).toMap
     cs.combos.foreach(c => assert(rows(c.id) == c.values("Area")))
   }
+
+  test("withComboId keeps values whose concatenations collide apart") {
+    import spark.implicits._
+    val schema2 = DbSchema(R1Schema("pid", Seq("Rel"), Nil, "hid"), R2Schema("hid", Seq("B1", "B2")))
+    val r2 = Seq((1L, "1", "11"), (2L, "11", "1")).toDF("hid", "B1", "B2")
+    val cs = ComboSpace.build(r2, schema2)
+    val rows = cs.withComboId(r2).collect()
+    assert(rows.length == 2)
+    rows.foreach { r =>
+      val combo = cs.byId(r.getAs[Int]("__combo"))
+      assert(combo.values == Map("B1" -> r.getAs[String]("B1"), "B2" -> r.getAs[String]("B2")))
+    }
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.census.ConstraintGen
 import repro.core.model._
 import repro.core.model.CmpOp._
 
@@ -55,5 +56,28 @@ class DenialConstraintSpec extends AnyFunSuite {
   }
   test("missing attribute in a cross condition fails the body") {
     assert(!spouseGap.bodyHolds(IndexedSeq(Map("Rel" -> "Owner"), t("Spouse", 20))))
+  }
+
+  private val r1 = R1Schema("pid", Seq("Rel", "MultiLing"), Seq("Age"), "hid")
+
+  test("requireOver accepts DCs over R1's attributes") {
+    (ConstraintGen.sdcAll :+ ownerOwner :+ spouseGap).foreach(_.requireOver(r1))
+  }
+  test("requireOver rejects a slot predicate on an attribute R1 lacks") {
+    val onR2 = DenialConstraint("onR2",
+      Seq(SelCond(Seq(CatEq("Rel", "Owner"))), SelCond(Seq(CatEq("Area", "A01")))), Nil)
+    val onKey = DenialConstraint("onKey",
+      Seq(SelCond(Seq(NumRange("pid", 0, 9))), SelCond.empty), Nil)
+    Seq(onR2, onKey).foreach(dc => assertThrows[IllegalArgumentException](dc.requireOver(r1)))
+  }
+  test("requireOver rejects a cross atom on a non-numeric or unknown attribute") {
+    val onCat = DenialConstraint("onCat", Seq(SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "MultiLing", EqOp, 1, "MultiLing", 0)))
+    val onUnknown = DenialConstraint("onUnknown", Seq(SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "Age", Lt, 1, "Years", 0)))
+    val pastArity = DenialConstraint("pastArity", Seq(SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "Age", Lt, 2, "Age", 0)))
+    Seq(onCat, onUnknown, pastArity).foreach(dc =>
+      assertThrows[IllegalArgumentException](dc.requireOver(r1)))
   }
 }

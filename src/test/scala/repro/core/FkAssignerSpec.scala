@@ -90,4 +90,37 @@ class FkAssignerSpec extends SparkSpec {
     assert(newHomes.count() >= 3)
     assert(newHomes.filter(col("Area") === "Chicago").count() == newHomes.count())
   }
+
+  test("an invalid tuple gets a fresh house of its bin's least-CC-impact combo") {
+    import repro.core.model._
+    // Every combo would add the lone spouse to some CC; Chicago to two, NYC
+    // (combo 1) to one, so the spouse's bin picks NYC.
+    val spouse = CatEq("Rel", "Spouse")
+    val ccs = Seq(
+      CardinalityConstraint("s1", SelCond(Seq(spouse, CatEq("Area", "Chicago"))), 0),
+      CardinalityConstraint("s2", SelCond(Seq(spouse, CatEq("Area", "NYC"))), 0),
+      CardinalityConstraint("s3", SelCond(Seq(spouse, NumRange("Age", 0, 30), CatEq("Area", "Chicago"))), 0))
+    val r1 = PaperExample.r1(spark)
+    val r2 = PaperExample.r2(spark)
+    val p1 = HybridCompleter.run(r1, r2, schema, ccs, HybridCompleter.Mode.Hybrid)
+    assert(p1.vjoin.filter(col("__combo") === -1).select("pid").collect().map(_.getLong(0)).toSeq == Seq(5L))
+    assert(p1.comboSpace.byId(1).values("Area") == "NYC")
+    val p2 = FkAssigner.run(p1.vjoin, r1, r2, schema, PaperExample.dcs, ccs, p1.binning, p1.comboSpace)
+    val fresh = 6L + (3L << 33) + (1L << 32) + 1 // maxHid + ((combo+2) << 33) + invalid lane + 1
+    assert(p2.r1Hat.filter(col("pid") === 5).select("hid").head().getLong(0) == fresh)
+    assert(p2.r2Hat.filter(col("hid") === fresh).select("Area").collect().map(_.getString(0)).toSeq == Seq("NYC"))
+  }
+
+  test("a DC over attributes R1 lacks fails before Phase II runs") {
+    import repro.core.model._
+    val onR2 = DenialConstraint("owner_in_nyc",
+      Seq(SelCond(Seq(CatEq("Rel", "Owner"))), SelCond(Seq(CatEq("Area", "NYC")))), Nil)
+    val onCat = DenialConstraint("same_multiling", Seq(SelCond.empty, SelCond.empty),
+      Seq(CrossCond(0, "MultiLing", CmpOp.EqOp, 1, "MultiLing", 0)))
+    for (dc <- Seq(onR2, onCat)) {
+      val e = intercept[IllegalArgumentException](CExtension.run(
+        PaperExample.r1(spark), PaperExample.r2(spark), schema, PaperExample.ccs, Seq(dc)))
+      assert(e.getMessage.contains(dc.name))
+    }
+  }
 }
